@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import Sequence
@@ -155,6 +156,8 @@ def _die_flag(text: str) -> DieSpec:
 
 
 def _check_class_flag(k: int, a: int) -> None:
+    if k < 1:
+        raise DomainError(f"modulus k must be positive, got {k}")
     if not 0 <= a < k:
         raise DomainError(f"-a: residue class must lie in [0, {k}), got {a}")
 
@@ -222,8 +225,8 @@ def _cmd_sum(ns) -> tuple[dict, object, list[str], int]:
 
 def _cmd_series(ns) -> tuple[dict, object, list[str], int]:
     p = _poly_flag(ns.P)
-    sol = residue_gfs(p, ns.k)
     _check_class_flag(ns.k, ns.a)
+    sol = residue_gfs(p, ns.k)
     values = sol.gfs[ns.a].series(ns.N)
     inputs = {"P": p.to_json_dict(), "k": ns.k, "a": ns.a, "N": ns.N}
     result = {"values": [rat_to_str(v) for v in values]}
@@ -300,10 +303,31 @@ _COMMANDS = {
 }
 
 
+_LEADING_MINUS_POLY = re.compile(r"-[\sx0-9]")
+
+
+def _attach_poly_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite "-P", "-x+1" as "-P-x+1".
+
+    argparse reads a separate token that starts with "-" as an option, so a
+    polynomial with a leading minus only parses when attached to its flag.
+    A token is attached when it can only be a polynomial: after the "-"
+    comes a digit, "x" or whitespace, which no option of this parser starts
+    with.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "-P" and _LEADING_MINUS_POLY.match(tok):
+            out[-1] = "-P" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(_attach_poly_values(argv))
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

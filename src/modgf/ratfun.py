@@ -6,18 +6,23 @@ RationalFunction is always stored reduced (coprime num/den) and normalized:
 den(0) == 1 when the denominator does not vanish at 0, otherwise den monic.
 
 solve_linear_system performs fraction-free (Bareiss) elimination over Poly
-entries. Internally every polynomial entry is packed into a single big
-integer (its value at 2^B with balanced base-2^B digits, B chosen from a
-Hadamard-style bound on minor coefficients), so the convolutions and exact
-divisions of the elimination run as native big-int operations. Entries stay
-exactly the classical Bareiss minors throughout; the packing is faithful by
-the digit bound, every division is checked for zero remainder, and each
-solved system is re-verified at a random rational point before returning.
+entries for a general square system. The residue families do not use it
+(residues solves their circulant system directly); it is the independent
+cross-check those families are tested against. Internally every polynomial
+entry is packed into a single big integer (its value at 2^B with balanced
+base-2^B digits, B chosen from a Hadamard-style bound on minor
+coefficients), so the convolutions and exact divisions of the elimination
+run as native big-int operations. Entries stay exactly the classical
+Bareiss minors throughout; the packing is faithful by the digit bound, every
+division is checked for zero remainder, and each solved system is
+re-verified in integers at a point of at least 2^61 derived from a hash of
+the system before returning.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -532,7 +537,7 @@ def poly_series(num: Poly, den: Poly, n_last: int) -> list[Fraction]:
 
 
 class SystemSolution(NamedTuple):
-    solutions: list[RationalFunction | None]
+    solutions: list[RationalFunction]
     det: Poly
 
 
@@ -597,7 +602,6 @@ def solve_linear_system(
     matrix: Sequence[Sequence[Poly]],
     rhs: Sequence[Poly],
     max_degree: int | None = None,
-    reduce_mask: Sequence[bool] | None = None,
 ) -> SystemSolution:
     """Solve matrix * x = rhs exactly over rational functions.
 
@@ -607,12 +611,6 @@ def solve_linear_system(
     Cramer bound on the degrees of the determinant and the solution
     numerators, exceeding it raises InternalConsistencyError instead of
     silently returning wrong algebra.
-
-    `reduce_mask`, when given, marks which solution entries the caller wants;
-    the others come back as None. The whole vector is still solved and
-    residual-checked, only the final gcd reductions are skipped. Callers that
-    know two entries are equal (mirror symmetry) use this to reduce each
-    value once.
 
     >>> s = solve_linear_system([[Poly([1, -1]), Poly([0, -2])],
     ...                          [Poly([0, -2]), Poly([1, -1])]],
@@ -629,8 +627,6 @@ def solve_linear_system(
         raise DimensionMismatchError("matrix is not square")
     if len(rhs) != k:
         raise DimensionMismatchError("right-hand side length does not match the matrix")
-    if reduce_mask is not None and len(reduce_mask) != k:
-        raise DimensionMismatchError("reduce_mask length does not match the matrix")
 
     dens = [c.denominator for row in matrix for e in row for c in e.coeffs]
     dens += [c.denominator for e in rhs for c in e.coeffs]
@@ -712,17 +708,11 @@ def solve_linear_system(
                     f"solution numerator degree {len(nc) - 1} exceeds the cap {max_degree}"
                 )
 
-    _verify_at_point(matrix, rhs, num_ints, den_int)
+    _verify_at_point(aug, num_ints, den_int)
 
     scale = Fraction(sign, lcm_den**k)
     det_poly = Poly([c * scale for c in den_int])
-    solutions = [
-        _reduce_int_pair(nc, den_int)
-        if reduce_mask is None or reduce_mask[i]
-        else None
-        for i, nc in enumerate(num_ints)
-    ]
-    return SystemSolution(solutions, det_poly)
+    return SystemSolution([_reduce_int_pair(nc, den_int) for nc in num_ints], det_poly)
 
 
 def _reduce_int_pair(num: list[int], den: list[int]) -> RationalFunction:
@@ -737,25 +727,34 @@ def _reduce_int_pair(num: list[int], den: list[int]) -> RationalFunction:
     return RationalFunction._reduced_unchecked(Poly(num), Poly(den))
 
 
+def _check_point(key: str, den: Sequence[int]) -> int:
+    """Integer check point t0 >= 2^61, derived from SHA-256 of key.
+
+    The point is deterministic, so runs are reproducible, yet it is no small
+    integer: an error polynomial that vanishes at t = 1 or another small
+    value still shows. t0 steps past any root of den.
+    """
+    digest = hashlib.sha256(key.encode()).digest()
+    t0 = (1 << 61) + int.from_bytes(digest[:8], "big")
+    while _ieval(den, t0) == 0:
+        t0 += 1
+    return t0
+
+
 def _verify_at_point(
-    matrix: Sequence[Sequence[Poly]],
-    rhs: Sequence[Poly],
+    aug: Sequence[Sequence[list[int]]],
     num_ints: Sequence[list[int]],
     den_int: Sequence[int],
 ) -> None:
-    """Exact spot check M(t0) * n(t0) == rhs(t0) * det(t0) at a non-root t0."""
-    k = len(matrix)
-    t0 = 0
-    for cand in range(1, len(den_int) + k + 3):
-        if _ieval(den_int, cand) != 0:
-            t0 = cand
-            break
+    """Exact integer check M(t0) * n(t0) == rhs(t0) * det(t0).
+
+    aug holds the integer rows [M | rhs]; t0 comes from a hash of them.
+    """
+    k = len(aug)
+    t0 = _check_point(repr(aug), den_int)
     dv = _ieval(den_int, t0)
     nv = [_ieval(nc, t0) for nc in num_ints]
-    point = Fraction(t0)
-    for i in range(k):
-        lhs = sum((matrix[i][j](point) * nv[j] for j in range(k)), Fraction(0))
-        if lhs != rhs[i](point) * dv:
-            raise InternalConsistencyError(
-                "solved system failed the random-point residual check"
-            )
+    for row in aug:
+        lhs = sum(_ieval(row[j], t0) * nv[j] for j in range(k))
+        if lhs != _ieval(row[k], t0) * dv:
+            raise InternalConsistencyError("solved system failed the point check")

@@ -6,9 +6,12 @@ JSON writer and reader in the package shares one validated code path.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat_to_str(value: Fraction) -> str:
@@ -16,23 +19,19 @@ def rat_to_str(value: Fraction) -> str:
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse "p" or "p/q". Rejects floats, whitespace padding and q = 0."""
+    """Parse "p" or "p/q" in ASCII digits, optional leading "-" on p.
+
+    Rejects floats, whitespace padding, underscores, a "+" sign, non-ASCII
+    digits and q = 0.
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {type(text).__name__}", 0)
-    body = text.strip()
-    if not body:
-        raise ParseError("empty rational literal", 0)
-    num_part, slash, den_part = body.partition("/")
-    try:
-        num = int(num_part)
-    except ValueError:
-        raise ParseError(f"bad integer {num_part!r} in rational literal", 0) from None
-    if not slash:
-        return Fraction(num)
-    try:
-        den = int(den_part)
-    except ValueError:
-        raise ParseError(f"bad integer {den_part!r} in rational literal", 0) from None
-    if den == 0:
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(f"bad rational literal {text!r}", 0)
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
         raise ParseError("division by zero in rational literal", 0)
-    return Fraction(num, den)
+    return Fraction(int(num), int(den))

@@ -12,13 +12,23 @@ the linear system (I - t M) f = e_0 with the circulant fold
 M[a][b] = sum of c_i over i = a-b (mod k). Cramer's rule bounds both the
 shared denominator degree and the numerator degrees by k.
 
+The system is never built as a matrix. M is multiplication by the folded P
+in Q[x]/(x^k - 1), so after clearing denominators k steps of cyclic
+convolution give A(n, k, .) for n <= k, Newton's identities give
+det(I - tM) from the traces k * A(j, k, 0), and each numerator is
+det * f_a mod t^k. All of it runs in integers with exact divisions; the
+result is checked against the system at a hash-derived point before the
+classes are reduced to lowest terms.
+
 Residues are always floored into [0, k): (-3) mod 5 is 2 regardless of sign.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
+from typing import Sequence
 
 from .cfinite import LinearRecurrence, recurrence_from_gf
 from .errors import (
@@ -28,7 +38,14 @@ from .errors import (
     ParseError,
 )
 from .laurent import LaurentPoly
-from .ratfun import Poly, RationalFunction, solve_linear_system
+from .ratfun import (
+    Poly,
+    RationalFunction,
+    _check_point,
+    _ieval,
+    _itrim,
+    _reduce_int_pair,
+)
 
 
 def fold_residues(p: LaurentPoly, k: int) -> list[Fraction]:
@@ -92,43 +109,121 @@ class ResidueSolution:
         for key in ("P", "k", "common_den", "gfs", "symmetric"):
             if not isinstance(data, dict) or key not in data:
                 raise ParseError(f"residue solution JSON needs the key {key!r}", 0)
+        k = data["k"]
+        if type(k) is not int or k < 1:
+            raise ParseError(f"residue solution k must be a positive integer, got {k!r}", 0)
+        if not isinstance(data["gfs"], list) or len(data["gfs"]) != k:
+            raise ParseError(f"residue solution needs a list of k = {k} gfs", 0)
+        if not isinstance(data["symmetric"], bool):
+            raise ParseError("residue solution symmetric must be true or false", 0)
         return ResidueSolution(
             p=LaurentPoly.from_json_dict(data["P"]),
-            k=data["k"],
-            symmetric=bool(data["symmetric"]),
+            k=k,
+            symmetric=data["symmetric"],
             common_den=Poly.from_json_list(data["common_den"]),
             gfs=[RationalFunction.from_json_dict(d) for d in data["gfs"]],
         )
 
 
-def _transfer_system(p: LaurentPoly, k: int) -> tuple[list[list[Poly]], list[Poly]]:
-    folded = fold_residues(p, k)
-    matrix = []
+def _circulant_family(
+    q: list[int], classes: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """det(I - tQ) and the numerators of the requested classes, over the integers.
+
+    Q is the k x k integer circulant with Q[a][b] = q[(a - b) % k], so Q v is
+    the cyclic convolution q * v. Power iteration v_n = Q v_(n-1) from
+    v_0 = e_0 gives the series G_a(t) = sum_n v_n[a] t^n of the solution of
+    (I - tQ) G = e_0. Q^j is circulant too, so tr(Q^j) = k * v_j[0], and
+    Newton's identities turn those traces into det(I - tQ) with exact integer
+    divisions. By Cramer's rule det * G_a is a polynomial of degree <= k - 1,
+    so the numerators are det * G_a mod t^k; the vanishing t^k coefficient
+    (Cayley-Hamilton for e_0) is checked as the degree cap.
+    """
+    k = len(q)
+    terms = [(i, c) for i, c in enumerate(q) if c]
+    vs = [[1] + [0] * (k - 1)]
+    for _ in range(k):
+        prev = vs[-1]
+        nxt = [0] * k
+        for i, c in terms:
+            rotated = prev[k - i :] + prev[: k - i]
+            nxt = [x + c * y for x, y in zip(nxt, rotated)]
+        vs.append(nxt)
+
+    traces = [k * v[0] for v in vs]
+    det = [1]
+    for i in range(1, k + 1):
+        acc = sum(det[i - j] * traces[j] for j in range(1, i + 1))
+        c, rem = divmod(-acc, i)
+        if rem:
+            raise InternalConsistencyError("Newton identity division was not exact")
+        det.append(c)
+    while det[-1] == 0:
+        det.pop()
+
+    cols = [[v[a] for a in classes] for v in vs]
+    nums: list[list[int]] = [[] for _ in classes]
+    for i in range(k + 1):
+        row = [0] * len(classes)
+        for j in range(min(i, len(det) - 1) + 1):
+            d = det[j]
+            if d:
+                row = [x + d * y for x, y in zip(row, cols[i - j])]
+        if i == k:
+            if any(row):
+                raise InternalConsistencyError(
+                    f"numerator degree exceeds the Cramer cap {k - 1}"
+                )
+        else:
+            for num, c in zip(nums, row):
+                num.append(c)
+    return det, [_itrim(num) for num in nums]
+
+
+def _check_at_point(
+    p: LaurentPoly, folded: list[Fraction], den: list[int], nums: list[list[int]]
+) -> None:
+    """Exact check of (I - tM) n = den * e_0 at one point, in integers.
+
+    M[a][b] = folded[(a - b) % k] is applied straight from the folded
+    coefficients, row by row; the point comes from a hash of (P, k).
+    """
+    k = len(folded)
+    scale = math.lcm(*(c.denominator for c in folded))
+    row = [(i, c.numerator * (scale // c.denominator)) for i, c in enumerate(folded) if c]
+    t0 = _check_point(f"{p.text()}\n{k}", den)
+    nv = [_ieval(num, t0) for num in nums]
+    dv = _ieval(den, t0)
     for a in range(k):
-        row = []
-        for b in range(k):
-            w = folded[(a - b) % k]
-            if a == b:
-                row.append(Poly([Fraction(1), -w]))
-            else:
-                row.append(Poly([Fraction(0), -w]))
-        matrix.append(row)
-    rhs = [Poly.one()] + [Poly.zero()] * (k - 1)
-    return matrix, rhs
+        lhs = scale * nv[a] - t0 * sum(c * nv[(a - i) % k] for i, c in row)
+        if lhs != (scale * dv if a == 0 else 0):
+            raise InternalConsistencyError("solved family failed the point check")
 
 
-def _solved_family(
-    p: LaurentPoly, k: int, reduce_mask: list[bool] | None
-) -> tuple[list[RationalFunction | None], Poly]:
+def _solve_family(p: LaurentPoly, k: int, symmetric: bool) -> ResidueSolution:
+    """The reduced family; with symmetric, classes a > k//2 mirror k - a."""
     if p.is_zero():
         raise DomainError("residue generating functions need a nonzero polynomial")
-    if k < 1:
-        raise DomainError(f"modulus k must be positive, got {k}")
-    matrix, rhs = _transfer_system(p, k)
-    solved = solve_linear_system(matrix, rhs, max_degree=k, reduce_mask=reduce_mask)
-    if solved.det.constant() != 1:
+    folded = fold_residues(p, k)
+    d = math.lcm(*(c.denominator for c in folded))
+    q = [c.numerator * (d // c.denominator) for c in folded]
+    classes = range(k // 2 + 1) if symmetric else range(k)
+    det, nums = _circulant_family(q, classes)
+    # Q = d*M, so t -> t/d maps the Q-system back to M; multiplying through
+    # by d^k keeps every coefficient integral.
+    powers = [d ** (k - i) for i in range(k + 1)]
+    den = [c * w for c, w in zip(det, powers)]
+    nums = [[c * w for c, w in zip(num, powers)] for num in nums]
+    mirror = [min(a, k - a) if symmetric else a for a in range(k)]
+    _check_at_point(p, folded, den, [nums[b] for b in mirror])
+    reduced = [_reduce_int_pair(num, den) for num in nums]
+    gfs = [reduced[b] for b in mirror]
+    common_den = Poly([Fraction(c, d**i) for i, c in enumerate(det)])
+    if common_den.constant() != 1:
         raise InternalConsistencyError("det(I - tM) lost its constant term 1")
-    return solved.solutions, solved.det
+    return ResidueSolution(
+        p=p, k=k, symmetric=p.is_symmetric(), common_den=common_den, gfs=gfs
+    )
 
 
 def residue_gfs(p: LaurentPoly, k: int) -> ResidueSolution:
@@ -138,37 +233,21 @@ def residue_gfs(p: LaurentPoly, k: int) -> ResidueSolution:
     >>> residue_gfs(TRINOMIAL, 2).gfs
     [RationalFunction('(1-t)/(1-2*t-3*t^2)'), RationalFunction('2*t/(1-2*t-3*t^2)')]
     """
-    solutions, det = _solved_family(p, k, None)
-    gfs = [f for f in solutions if f is not None]
-    if len(gfs) != k:
-        raise InternalConsistencyError("solver dropped a residue class")
-    return ResidueSolution(
-        p=p, k=k, symmetric=p.is_symmetric(), common_den=det, gfs=gfs
-    )
+    return _solve_family(p, k, symmetric=False)
 
 
 def residue_gfs_symmetric(p: LaurentPoly, k: int) -> ResidueSolution:
     """Same result as residue_gfs, for symmetric P (P(x) = P(1/x)).
 
-    Symmetry forces f_a = f_{k-a}, so only classes a <= k//2 are reduced and
-    the rest are mirrored, sharing the reduced objects. Output is identical
-    to residue_gfs entry by entry.
+    Symmetry forces f_a = f_{k-a}, so only classes a <= k//2 are solved and
+    reduced; the rest are mirrored, sharing the reduced objects. Output is
+    identical to residue_gfs entry by entry.
     """
     if not p.is_symmetric():
         raise NotSymmetricError(
             "polynomial is not symmetric; use the general residue_gfs path"
         )
-    if k < 1:
-        raise DomainError(f"modulus k must be positive, got {k}")
-    mask = [a <= k // 2 for a in range(k)]
-    solutions, det = _solved_family(p, k, mask)
-    gfs: list[RationalFunction] = []
-    for a in range(k):
-        f = solutions[a] if mask[a] else solutions[k - a]
-        if f is None:
-            raise InternalConsistencyError("masked solver entry was requested")
-        gfs.append(f)
-    return ResidueSolution(p=p, k=k, symmetric=True, common_den=det, gfs=gfs)
+    return _solve_family(p, k, symmetric=True)
 
 
 def recurrence_of(sol: ResidueSolution, a: int = 0) -> LinearRecurrence:

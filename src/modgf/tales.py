@@ -27,7 +27,13 @@ from .errors import DomainError, InternalConsistencyError
 from .laurent import TRINOMIAL, LaurentPoly
 from .ratfun import Poly
 from .rationals import rat_to_str
-from .residues import fold_residues, recurrence_of, residue_gfs, residue_gfs_symmetric
+from .residues import (
+    _check_class,
+    fold_residues,
+    recurrence_of,
+    residue_gfs,
+    residue_gfs_symmetric,
+)
 
 _SAMPLE_TERMS = 12
 
@@ -99,9 +105,8 @@ def search_tale(
         raise DomainError(
             f"horizon must exceed fit_window ({fit_window}), got {horizon}"
         )
+    _check_class(k, a)
     sol = residue_gfs(p, k)
-    if not 0 <= a < k:
-        raise DomainError(f"residue class a must lie in [0, {k}), got {a}")
     truth = sol.gfs[a].series(horizon)
     max_order = fit_window // 2 - 1
     policy = (

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+import modgf.cli
+import modgf.tales
 from modgf.cli import run
 from modgf.laurent import parse_laurent
 from modgf.residues import ResidueSolution, residue_sum
@@ -263,3 +265,36 @@ def test_dice_without_n_omits_break_even(capsys):
     env = json.loads(out)
     assert "break_even_prob" not in env["result"]
     assert "n" not in env["result"]
+
+
+def test_leading_minus_polynomial_in_either_spelling(capsys):
+    attached = run_cli(capsys, "ga", "-P-x+1", "-k", "3", "--format", "json")
+    separate = run_cli(capsys, "ga", "-P", "-x+1", "-k", "3", "--format", "json")
+    assert attached[0] == 0
+    assert separate == attached
+    assert json.loads(separate[1])["inputs"]["P"] == parse_laurent("1-x").to_json_dict()
+    code, out, _ = run_cli(capsys, "sum", "-P", "-2+x", "-k", "2", "-a", "0", "-n", "2")
+    assert (code, out) == (0, "5\n")  # (x-2)^2 = 4 - 4x + x^2
+    # a missing value is still a usage error, not a polynomial "-k"
+    code, _, err = run_cli(capsys, "ga", "-P", "-k", "3")
+    assert code == 1 and err.startswith("error:")
+
+
+def test_class_checked_before_any_solve(capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("residue_gfs ran before the class check")
+
+    monkeypatch.setattr(modgf.cli, "residue_gfs", no_solve)
+    monkeypatch.setattr(modgf.tales, "residue_gfs", no_solve)
+    for argv, message in (
+        (["series", "-P", "x^-1+1+x", "-k", "60", "-a", "99", "-N", "3"],
+         "error: -a: residue class must lie in [0, 60), got 99\n"),
+        (["series", "-P", "x", "-k", "0", "-a", "0", "-N", "3"],
+         "error: modulus k must be positive, got 0\n"),
+        (["tale", "-P", "x", "-k", "5", "-a", "9", "--fit-window", "8", "--horizon", "30"],
+         "error: residue class a must lie in [0, 5), got 9\n"),
+        (["tale", "-P", "x", "-k", "0", "-a", "0", "--fit-window", "8", "--horizon", "30"],
+         "error: modulus k must be positive, got 0\n"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv

@@ -2,7 +2,9 @@
 
 The solver oracle here is deliberately naive: Cramer's rule with Laplace
 expansion determinants over Fraction-coefficient polynomials. It shares no
-code with the packed Bareiss path, so agreement is meaningful.
+code with the packed Bareiss path, so agreement is meaningful. The Bareiss
+solver in turn is the cross-check oracle of the circulant residue solver
+(tests/test_residues.py).
 """
 
 import random
@@ -20,8 +22,10 @@ from modgf.errors import (
 from modgf.ratfun import (
     Poly,
     RationalFunction,
+    _check_point,
     _pack,
     _unpack,
+    _verify_at_point,
     poly_gcd,
     poly_series,
     rf_normalize,
@@ -448,8 +452,6 @@ def test_solver_errors():
         solve_linear_system([[Poly.one(), Poly.one()]], [Poly.one()])
     with pytest.raises(DimensionMismatchError):
         solve_linear_system([[Poly.one()]], [Poly.one(), Poly.one()])
-    with pytest.raises(DimensionMismatchError):
-        solve_linear_system([[Poly.one()]], [Poly.one()], reduce_mask=[True, False])
     with pytest.raises(SingularMatrixError):
         solve_linear_system([[Poly([1]), Poly([1])], [Poly([1]), Poly([1])]], [Poly.one(), Poly.zero()])
     with pytest.raises(SingularMatrixError):
@@ -463,11 +465,21 @@ def test_solver_max_degree_guard():
     assert s.det == Poly([1, -1])
 
 
-def test_solver_reduce_mask():
-    matrix = [[Poly([1, -1]), Poly([0, -2])], [Poly([0, -2]), Poly([1, -1])]]
-    rhs = [Poly.one(), Poly.zero()]
-    s = solve_linear_system(matrix, rhs, reduce_mask=[True, False])
-    assert s.solutions[1] is None
-    full = solve_linear_system(matrix, rhs)
-    assert s.solutions[0] == full.solutions[0]
-    assert s.det == full.det
+def test_solver_point_check_catches_error_vanishing_at_one():
+    # (1-t) x0 - 2t x1 = 1, -2t x0 + (1-t) x1 = 0 has det 1-2t-3t^2 and
+    # numerators 1-t, 2t. Adding c*(t-1) to a numerator leaves the residual
+    # zero at t = 1, so a check point of 1 would accept it.
+    aug = [[[1, -1], [0, -2], [1]], [[0, -2], [1, -1], []]]
+    den = [1, -2, -3]
+    _verify_at_point(aug, [[1, -1], [0, 2]], den)
+    with pytest.raises(InternalConsistencyError):
+        _verify_at_point(aug, [[1, -1], [-5, 7]], den)
+
+
+def test_check_point_is_large_deterministic_and_skips_roots():
+    t0 = _check_point("key", [1])
+    assert t0 >= 1 << 61
+    assert _check_point("key", [1]) == t0
+    assert _check_point("other key", [1]) != t0
+    # den = t - t0 vanishes at the hashed point, which must be stepped past
+    assert _check_point("key", [-t0, 1]) == t0 + 1

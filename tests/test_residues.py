@@ -7,6 +7,8 @@ The structural invariants checked on random inputs:
   - every reduced denominator divides common_den
   - symmetric path output == general path output, entry by entry
   - recurrence_of reproduces the sums from initial values alone
+  - the circulant solver agrees with general Bareiss elimination on the
+    explicitly built transfer matrix
 """
 
 import random
@@ -14,13 +16,15 @@ from fractions import Fraction
 
 import pytest
 
+import modgf.residues
 from modgf.errors import (
     DomainError,
+    InternalConsistencyError,
     NotSymmetricError,
     ParseError,
 )
 from modgf.laurent import TRINOMIAL, LaurentPoly, parse_laurent
-from modgf.ratfun import Poly, RationalFunction
+from modgf.ratfun import Poly, RationalFunction, solve_linear_system
 from modgf.residues import (
     ResidueSolution,
     fold_residues,
@@ -290,3 +294,89 @@ def test_fractional_coefficients_supported():
     table = residue_table(p, 2, 10)
     for a in range(2):
         assert sol.gfs[a].series(10) == [table[n][a] for n in range(11)]
+
+
+def _rational_laurent(rng):
+    """random_laurent's shape with rational coefficients and exponents down to -5."""
+    while True:
+        width = rng.randint(1, 6)
+        lo = rng.randint(-5, 3)
+        cs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 4))) for _ in range(width)]
+        if any(cs):
+            return LaurentPoly(lo, cs)
+
+
+def _bareiss_family(p, k):
+    """common_den and gfs from general elimination on (I - tM) f = e_0."""
+    folded = residue_table(p, k, 1)[1]
+    matrix = [
+        [Poly([int(a == b), -folded[(a - b) % k]]) for b in range(k)] for a in range(k)
+    ]
+    rhs = [Poly.one()] + [Poly.zero()] * (k - 1)
+    solved = solve_linear_system(matrix, rhs, max_degree=k)
+    return solved.det.scale(1 / solved.det.constant()), solved.solutions
+
+
+def test_circulant_solver_matches_bareiss_oracle():
+    rng = random.Random(708)
+    cases = [(_rational_laurent(rng), rng.randint(1, 12)) for _ in range(25)]
+    cases += [
+        (parse_laurent("1+x"), 2),
+        (parse_laurent("1+x"), 6),
+        (parse_laurent("x-x^5"), 4),
+    ]
+    for p, k in cases:
+        sol = residue_gfs(p, k)
+        common_den, gfs = _bareiss_family(p, k)
+        assert sol.common_den == common_den, (p, k)
+        assert sol.gfs == gfs, (p, k)
+    # the degenerate cases really are degenerate: deg det < k, zero fold
+    assert residue_gfs(parse_laurent("1+x"), 6).common_den.deg() < 6
+    assert residue_gfs(parse_laurent("x-x^5"), 4).common_den == Poly.one()
+
+
+def test_point_check_catches_error_vanishing_at_one(monkeypatch):
+    # An error that is a multiple of (t - 1) leaves the residual zero at
+    # t = 1, so a check point of 1 would let it through. Integer P keeps the
+    # t -> t/D rescaling out of the way (D = 1).
+    solve = modgf.residues._circulant_family
+
+    def perturbed(q, classes):
+        det, nums = solve(q, classes)
+        bad = list(nums[1]) + [0] * (2 - len(nums[1]))
+        bad[0] -= 7
+        bad[1] += 7
+        return det, [nums[0], bad] + nums[2:]
+
+    monkeypatch.setattr(modgf.residues, "_circulant_family", perturbed)
+    with pytest.raises(InternalConsistencyError):
+        residue_gfs(parse_laurent("2*x^-1-1+x^3"), 5)
+    with pytest.raises(InternalConsistencyError):
+        residue_gfs_symmetric(TRINOMIAL, 4)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"k": "4"},
+        {"k": 4.0},
+        {"k": True},
+        {"k": 0},
+        {"k": 5},
+        {"k": 3},
+        {"gfs": "abc"},
+        {"symmetric": "false"},
+        {"symmetric": 1},
+        {"symmetric": None},
+    ],
+)
+def test_solution_json_loader_is_strict(change, monkeypatch):
+    data = residue_gfs(TRINOMIAL, 4).to_json_dict()
+    data.update(change)
+
+    def no_build(*args):
+        raise AssertionError("a RationalFunction was built before validation")
+
+    monkeypatch.setattr(RationalFunction, "from_json_dict", no_build)
+    with pytest.raises(ParseError):
+        ResidueSolution.from_json_dict(data)
