@@ -226,6 +226,8 @@ def _cmd_sum(ns) -> tuple[dict, object, list[str], int]:
 def _cmd_series(ns) -> tuple[dict, object, list[str], int]:
     p = _poly_flag(ns.P)
     _check_class_flag(ns.k, ns.a)
+    if ns.N < 0:
+        raise DomainError("series needs a nonnegative term count")
     sol = residue_gfs(p, ns.k)
     values = sol.gfs[ns.a].series(ns.N)
     inputs = {"P": p.to_json_dict(), "k": ns.k, "a": ns.a, "N": ns.N}

@@ -120,7 +120,9 @@ def break_even_prob(die: DieSpec, n: int) -> Fraction:
     """Exact probability that n throws total exactly zero.
 
     Direct expansion of the n-th power; unlike the mod-k probabilities this
-    sequence has no constant-coefficient recurrence to exploit.
+    sequence has no constant-coefficient recurrence to exploit. The power
+    comes from Miller's recurrence on the integer-cleared face weights and
+    is checked at a hashed point (LaurentPoly.__pow__).
 
     >>> break_even_prob(DieSpec.fair([-1, 0, 1]), 2)
     Fraction(1, 3)

@@ -12,12 +12,24 @@ empty coefficient tuple. Values are immutable after construction.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import math
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalConsistencyError, ParseError
 from .rationals import rat_from_str, rat_to_str
 
 RationalLike = Fraction | int
+
+# Powers are refused when the estimated size of P^n exceeds this many bits:
+# one machine word per coefficient slot plus the bound n*log2(|q|_1 * D) on
+# each coefficient's numerator and denominator. The trinomial reaches it
+# near n = 16000.
+MAX_POWER_BITS = 1 << 30
+
+# The power self-check works modulo this Mersenne prime.
+_CHECK_PRIME = (1 << 61) - 1
 
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
@@ -37,7 +49,9 @@ class LaurentPoly:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, min_exp: int, coeffs: object) -> None:
-        cs = [Fraction(c) for c in coeffs]  # type: ignore[union-attr]
+        self._store(min_exp, [Fraction(c) for c in coeffs])  # type: ignore[union-attr]
+
+    def _store(self, min_exp: int, cs: Sequence[Fraction]) -> None:
         lo = 0
         hi = len(cs)
         while lo < hi and cs[lo] == 0:
@@ -50,6 +64,24 @@ class LaurentPoly:
         else:
             self.min_exp = min_exp + lo
             self.coeffs = tuple(cs[lo:hi])
+
+    @classmethod
+    def _trusted(cls, min_exp: int, cs: Sequence[Fraction]) -> LaurentPoly:
+        """Canonical value from coefficients that are already Fractions.
+
+        Arithmetic results come through here, skipping the per-coefficient
+        Fraction conversion of the public constructor.
+        """
+        self = object.__new__(cls)
+        self._store(min_exp, cs)
+        return self
+
+    @classmethod
+    def _from_ints(cls, min_exp: int, nums: Sequence[int], den: int) -> LaurentPoly:
+        """The value sum(nums[i] / den * x**(min_exp + i)); den > 0."""
+        if den == 1:
+            return cls._trusted(min_exp, [Fraction(c) for c in nums])
+        return cls._trusted(min_exp, [Fraction(c, den) for c in nums])
 
     # --- constructors ---
 
@@ -111,7 +143,7 @@ class LaurentPoly:
     # --- arithmetic ---
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.min_exp, [-c for c in self.coeffs])
+        return LaurentPoly._trusted(self.min_exp, [-c for c in self.coeffs])
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -127,7 +159,7 @@ class LaurentPoly:
             out[self.min_exp + i - lo] += c
         for i, c in enumerate(other.coeffs):
             out[other.min_exp + i - lo] += c
-        return LaurentPoly(lo, out)
+        return LaurentPoly._trusted(lo, out)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -135,7 +167,9 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        """Convolution product.
+        """Convolution product, in integers over the cleared denominators.
+
+        The outer loop runs over the nonzero terms of the sparser factor.
 
         >>> t = LaurentPoly(-1, [1, 1, 1])
         >>> (t * t).coeffs
@@ -145,33 +179,56 @@ class LaurentPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly(self.min_exp + other.min_exp, out)
+        da, qa = clear_denominators(self.coeffs)
+        db, qb = clear_denominators(other.coeffs)
+        if len(qa) - qa.count(0) > len(qb) - qb.count(0):
+            qa, qb = qb, qa
+        width = len(qb)
+        out = [0] * (len(qa) + width - 1)
+        for i, a in enumerate(qa):
+            if a:
+                out[i : i + width] = [o + a * b for o, b in zip(out[i : i + width], qb)]
+        return LaurentPoly._from_ints(self.min_exp + other.min_exp, out, da * db)
 
     def scale(self, factor: RationalLike) -> LaurentPoly:
         f = Fraction(factor)
-        return LaurentPoly(self.min_exp, [c * f for c in self.coeffs])
+        return LaurentPoly._trusted(self.min_exp, [c * f for c in self.coeffs])
 
     def __pow__(self, n: int) -> LaurentPoly:
-        """n-th power by iterated multiplication; p**0 == 1 even for p == 0.
+        """n-th power by J.C.P. Miller's recurrence; p**0 == 1 even for p == 0.
 
-        Iterated products keep every intermediate row P^m available to
-        callers that walk powers incrementally, which is how the row-to-row
-        identities are checked.
+        With D the lcm of the denominators, Q = D * x**-min_exp * P has
+        integer coefficients q_0 != 0, ..., q_d, and the coefficients r_m of
+        Q**n follow from r_0 = q_0**n and
+
+            m * q_0 * r_m = sum over i >= 1 of ((n + 1) * i - m) * q_i * r_(m-i)
+
+        (Knuth, TAOCP vol. 2, section 4.7), with every division checked
+        exact. That is O(n * d) big-integer steps per nonzero q_i instead of
+        n full products. Before P**n = x**(n * min_exp) * Q**n / D**n is
+        returned, sum r_m t0**m is checked against Q(t0)**n modulo 2**61 - 1,
+        at a t0 derived from SHA-256 of (Q, D, n). Powers whose estimated
+        size exceeds MAX_POWER_BITS are refused before anything is expanded.
         """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise DomainError("negative power of a Laurent polynomial is not supported")
-        acc = LaurentPoly.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        if n == 0:
+            return LaurentPoly.one()
+        if not self.coeffs:
+            return LaurentPoly.zero()
+        d, q = clear_denominators(self.coeffs)
+        bits_per_coeff = n * ((sum(map(abs, q)) - 1).bit_length() + (d - 1).bit_length())
+        size = (n * (len(q) - 1) + 1) * (64 + bits_per_coeff)
+        if size > MAX_POWER_BITS:
+            raise DomainError(
+                f"power n = {n} of a polynomial with {len(q)} coefficient slots "
+                f"would need about {size} bits, over the ceiling {MAX_POWER_BITS}"
+            )
+        r = _miller_pow(q, n)
+        _check_power(q, d, n, r)
+        return LaurentPoly._from_ints(n * self.min_exp, r, d**n)
 
     def eval_at(self, v: RationalLike) -> Fraction:
         """Evaluate at a rational point; v == 0 is rejected when min_exp < 0.
@@ -234,6 +291,52 @@ class LaurentPoly:
         if not isinstance(min_exp, int) or isinstance(min_exp, bool):
             raise ParseError("min_exp must be an integer", 0)
         return LaurentPoly(min_exp, [rat_from_str(c) for c in data["coeffs"]])
+
+
+def clear_denominators(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [D * c for c in cs]) with D the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in cs))
+    if d == 1:
+        return 1, [c.numerator for c in cs]
+    return d, [c.numerator * (d // c.denominator) for c in cs]
+
+
+def _miller_pow(q: Sequence[int], n: int) -> list[int]:
+    """Coefficients of (sum q[i] x**i)**n by Miller's recurrence; q[0] != 0."""
+    q0 = q[0]
+    terms = [(i, c) for i, c in enumerate(q) if i and c]
+    top = n * (len(q) - 1)
+    r = [0] * (top + 1)
+    r[0] = q0**n
+    for m in range(1, top + 1):
+        acc = 0
+        for i, c in terms:
+            if i > m:
+                break
+            acc += ((n + 1) * i - m) * c * r[m - i]
+        r[m], rem = divmod(acc, m * q0)
+        if rem:
+            raise InternalConsistencyError("Miller recurrence division was not exact")
+    return r
+
+
+def _eval_mod(cs: Sequence[int], t0: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * t0 + c) % _CHECK_PRIME
+    return acc
+
+
+def _check_power(q: Sequence[int], d: int, n: int, r: Sequence[int]) -> None:
+    """Check r == q**n at one point modulo 2**61 - 1; t0 hashes (q, d, n).
+
+    Hex keeps the key linear in the size of q, with no decimal digit limit.
+    """
+    key = f"{n};{d:x};" + ",".join(f"{c:x}" for c in q)
+    digest = hashlib.sha256(key.encode()).digest()
+    t0 = 2 + int.from_bytes(digest[:8], "big") % (_CHECK_PRIME - 2)
+    if _eval_mod(r, t0) != pow(_eval_mod(q, t0), n, _CHECK_PRIME):
+        raise InternalConsistencyError("power failed the point check")
 
 
 TRINOMIAL = LaurentPoly(-1, (1, 1, 1))

@@ -26,7 +26,6 @@ Residues are always floored into [0, k): (-3) mod 5 is 2 regardless of sign.
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,7 +36,7 @@ from .errors import (
     NotSymmetricError,
     ParseError,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, clear_denominators
 from .ratfun import (
     Poly,
     RationalFunction,
@@ -49,17 +48,23 @@ from .ratfun import (
 
 
 def fold_residues(p: LaurentPoly, k: int) -> list[Fraction]:
-    """Sums of the coefficients of p grouped by exponent residue mod k."""
+    """Sums of the coefficients of p grouped by exponent residue mod k.
+
+    The integer-cleared numerators are summed per class, then each class is
+    divided once.
+    """
     if k < 1:
         raise DomainError(f"modulus k must be positive, got {k}")
-    out = [Fraction(0)] * k
-    for e in p.support():
-        out[e % k] += p.coeff(e)
-    return out
+    d, q = clear_denominators(p.coeffs)
+    # Slot i holds exponent min_exp + i, so class a starts at (a - min_exp) % k.
+    return [Fraction(sum(q[(a - p.min_exp) % k :: k]), d) for a in range(k)]
 
 
 def residue_sum(p: LaurentPoly, k: int, a: int, n: int) -> Fraction:
     """A(n, k, a) by direct expansion of p**n; reference implementation.
+
+    p**n comes from Miller's recurrence on the integer-cleared coefficients
+    and is checked at a hashed point before it is folded (LaurentPoly.__pow__).
 
     >>> from .laurent import TRINOMIAL
     >>> residue_sum(TRINOMIAL, 2, 0, 3)
@@ -189,8 +194,8 @@ def _check_at_point(
     coefficients, row by row; the point comes from a hash of (P, k).
     """
     k = len(folded)
-    scale = math.lcm(*(c.denominator for c in folded))
-    row = [(i, c.numerator * (scale // c.denominator)) for i, c in enumerate(folded) if c]
+    scale, cleared = clear_denominators(folded)
+    row = [(i, c) for i, c in enumerate(cleared) if c]
     t0 = _check_point(f"{p.text()}\n{k}", den)
     nv = [_ieval(num, t0) for num in nums]
     dv = _ieval(den, t0)
@@ -205,8 +210,7 @@ def _solve_family(p: LaurentPoly, k: int, symmetric: bool) -> ResidueSolution:
     if p.is_zero():
         raise DomainError("residue generating functions need a nonzero polynomial")
     folded = fold_residues(p, k)
-    d = math.lcm(*(c.denominator for c in folded))
-    q = [c.numerator * (d // c.denominator) for c in folded]
+    d, q = clear_denominators(folded)
     classes = range(k // 2 + 1) if symmetric else range(k)
     det, nums = _circulant_family(q, classes)
     # Q = d*M, so t -> t/d maps the Q-system back to M; multiplying through

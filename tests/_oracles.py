@@ -13,11 +13,29 @@ from fractions import Fraction
 from modgf.laurent import LaurentPoly
 
 
+def schoolbook_mul(
+    a: dict[int, Fraction], b: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """Product of two {exponent: coefficient} maps, term by term in Fractions."""
+    out: dict[int, Fraction] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, Fraction(0)) + x * y
+    return out
+
+
 def power_rows(p: LaurentPoly, n_last: int) -> list[LaurentPoly]:
-    """[p**0, p**1, ..., p**n_last] built incrementally."""
+    """[p**0, p**1, ..., p**n_last] built incrementally by schoolbook_mul.
+
+    Neither LaurentPoly.__mul__ nor __pow__ is used, so the rows stay an
+    oracle for both.
+    """
+    base = {e: p.coeff(e) for e in p.support()}
+    row = {0: Fraction(1)}
     rows = [LaurentPoly.one()]
     for _ in range(n_last):
-        rows.append(rows[-1] * p)
+        row = schoolbook_mul(row, base)
+        rows.append(LaurentPoly.from_coeff_map(row))
     return rows
 
 

@@ -243,3 +243,14 @@ def test_criterion_8_fitter_soundness():
         # Stability: the fit describes the whole sequence, so refitting a
         # longer stretch of its own extension returns the same description.
         assert fit_recurrence(fitted.extend(31), 5) == fitted
+
+
+def test_criterion_9_exact_powers_at_scale():
+    code, elapsed, env = run_json(["coeff", "-P", "x^-1+1+x", "-n", "2000", "-j", "0"])
+    assert code == 0
+    # The central trinomial coefficient: choose the 2i steps that move, then
+    # which i of them go up.
+    want = sum(math.comb(2000, 2 * i) * math.comb(2 * i, i) for i in range(1001))
+    assert env["result"]["value"] == str(want)
+
+    assert elapsed < 2.0

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import modgf.cli
+import modgf.laurent
 import modgf.tales
 from modgf.cli import run
 from modgf.laurent import parse_laurent
@@ -298,3 +299,22 @@ def test_class_checked_before_any_solve(capsys, monkeypatch):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", message), argv
+
+
+def test_series_term_count_checked_before_any_solve(capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("residue_gfs ran before the -N check")
+
+    monkeypatch.setattr(modgf.cli, "residue_gfs", no_solve)
+    code, out, err = run_cli(capsys, "series", "-P", "x^-1+1+x", "-k", "60", "-a", "0", "-N", "-1")
+    assert (code, out, err) == (2, "", "error: series needs a nonnegative term count\n")
+
+
+def test_oversize_power_refused_before_expanding(capsys, monkeypatch):
+    def no_expand(*args):
+        raise AssertionError("the power was expanded past the size ceiling")
+
+    monkeypatch.setattr(modgf.laurent, "_miller_pow", no_expand)
+    code, out, err = run_cli(capsys, "coeff", "-P", "x^-1+1+x", "-n", "1000000000", "-j", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power n = 1000000000") and "ceiling" in err

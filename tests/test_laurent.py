@@ -1,14 +1,35 @@
 """Laurent polynomial representation, arithmetic, parsing, and serialization."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from modgf.errors import DomainError, ParseError
+import modgf.laurent
+from modgf.errors import DomainError, InternalConsistencyError, ParseError
 from modgf.laurent import TRINOMIAL, LaurentPoly, parse_laurent
 
-from _oracles import random_laurent
+from _oracles import power_rows, random_laurent, schoolbook_mul
+
+
+def random_rational_laurent(rng: random.Random) -> LaurentPoly:
+    """Mixed denominators, interior zeros, negative exponents, monomials."""
+    width = rng.choice((1, 1, 2, 3, 4, 5, 6))
+    lo = rng.randint(-5, 3)
+    cs = [
+        Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6, 9)))
+        if rng.random() < 0.7
+        else Fraction(0)
+        for _ in range(width)
+    ]
+    cs[0] = cs[0] or Fraction(-1, 3)
+    cs[-1] = cs[-1] or Fraction(5, 2)
+    return LaurentPoly(lo, cs)
+
+
+def as_map(p: LaurentPoly) -> dict[int, Fraction]:
+    return {e: p.coeff(e) for e in p.support()}
 
 
 def test_canonical_form_trims_zeros():
@@ -62,6 +83,13 @@ def test_mul_against_schoolbook():
                 Fraction(0),
             )
             assert prod.coeff(e) == want
+    rng = random.Random(411)
+    for _ in range(150):
+        p = random_rational_laurent(rng)
+        q = random_rational_laurent(rng)
+        want = LaurentPoly.from_coeff_map(schoolbook_mul(as_map(p), as_map(q)))
+        assert p * q == want
+        assert q * p == want
 
 
 def test_ring_identities():
@@ -86,9 +114,78 @@ def test_pow_small_cases():
     assert (p**4).coeffs == (1, 4, 6, 4, 1)
     assert (p**0) == LaurentPoly.one()
     assert (LaurentPoly.zero() ** 0) == LaurentPoly.one()
-    assert (LaurentPoly.zero() ** 3).is_zero()
+    for n in (1, 2, 3, 300):
+        assert (LaurentPoly.zero() ** n).is_zero()
+    q = parse_laurent("-1/3*x^-2+5/2*x")
+    assert q**1 == q
+    assert q**2 == q * q
+    assert parse_laurent("-2/3*x^-4") ** 3 == LaurentPoly(-12, [Fraction(-8, 27)])
     with pytest.raises(DomainError):
         TRINOMIAL ** (-1)
+
+
+def test_pow_matches_oracle_on_rational_inputs():
+    rng = random.Random(412)
+    for _ in range(60):
+        p = random_rational_laurent(rng)
+        n_last = rng.randint(2, 12)
+        rows = power_rows(p, n_last)
+        for n in (0, 1, 2, n_last):
+            assert p**n == rows[n], (p, n)
+
+
+def binomial_power(a: Fraction, b: Fraction, lo: int, gap: int, n: int) -> LaurentPoly:
+    """(a*x^lo + b*x^(lo+gap))**n from the binomial theorem."""
+    terms = {n * lo + gap * j: math.comb(n, j) * a ** (n - j) * b**j for j in range(n + 1)}
+    return LaurentPoly.from_coeff_map(terms)
+
+
+def test_pow_300_against_binomial_theorem():
+    cases = [
+        (Fraction(-1, 2), Fraction(2, 3), -2, 1),
+        (Fraction(3), Fraction(-5, 4), 0, 3),  # interior zeros
+        (Fraction(-2), Fraction(-1), 0, 1),  # (-2-x)**n, every term one sign
+        (Fraction(1, 6), Fraction(1, 6), -1, 2),
+    ]
+    for a, b, lo, gap in cases:
+        p = LaurentPoly(lo, [a] + [0] * (gap - 1) + [b])
+        for n in (0, 1, 2, 7, 300):
+            assert p**n == binomial_power(a, b, lo, gap, n), (p, n)
+
+
+def test_pow_same_sign_trinomial():
+    p = parse_laurent("-2-x-3*x^2")
+    rows = power_rows(p, 25)
+    assert p**25 == rows[25]
+    assert all(c < 0 for c in (p**25).coeffs)
+    assert all(c > 0 for c in (p**24).coeffs)
+
+
+def test_pow_point_check_catches_a_corrupted_coefficient(monkeypatch):
+    honest = modgf.laurent._miller_pow
+
+    def off_by_one(q, n):
+        r = honest(q, n)
+        r[len(r) // 2] += 1
+        return r
+
+    monkeypatch.setattr(modgf.laurent, "_miller_pow", off_by_one)
+    with pytest.raises(InternalConsistencyError, match="point check"):
+        TRINOMIAL**40
+    with pytest.raises(InternalConsistencyError, match="point check"):
+        parse_laurent("1/2*x^-3-2/3+x^2") ** 9
+
+
+def test_pow_refuses_oversize_before_expanding(monkeypatch):
+    def no_expand(q, n):
+        raise AssertionError("expanded past the size ceiling")
+
+    # a monomial power is one coefficient, so only its size counts
+    assert LaurentPoly.x() ** 10**9 == LaurentPoly.x(10**9)
+    monkeypatch.setattr(modgf.laurent, "_miller_pow", no_expand)
+    for p, n in ((TRINOMIAL, 10**9), (parse_laurent("1+x^100000"), 20000)):
+        with pytest.raises(DomainError, match="ceiling"):
+            p**n
 
 
 def test_pow_addition_law():
