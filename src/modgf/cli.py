@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Sequence
 
-from .dice import DieSpec, break_even_prob, modular_prob_gf
+from .dice import DieSpec, break_even_prob, check_throw_count, modular_prob_gf
 from .errors import DomainError, InternalConsistencyError, ParseError
 from .laurent import LaurentPoly, parse_laurent
 from .rationals import rat_to_str
@@ -73,7 +73,7 @@ def build_parser() -> _Parser:
 
     p_gas = sub.add_parser(
         "gas", parents=[common],
-        help="same as ga, symmetric fast path (requires P(x) = P(1/x))",
+        help="same as ga; refuses P with P(x) ≠ P(1/x)",
     )
     p_gas.add_argument("-P", required=True, metavar="POLY")
     p_gas.add_argument("-k", required=True, type=int)
@@ -279,6 +279,8 @@ def _cmd_tale(ns) -> tuple[dict, object, list[str], int]:
 
 def _cmd_dice(ns) -> tuple[dict, object, list[str], int]:
     die = _die_flag(ns.faces)
+    if ns.n is not None:
+        check_throw_count(die, ns.n)
     sol = modular_prob_gf(die, ns.k)
     inputs: dict = {"faces": die.to_json_dict()["faces"], "k": ns.k}
     result: dict = {"modular_gf": sol.to_json_dict()}

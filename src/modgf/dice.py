@@ -18,7 +18,7 @@ import dataclasses
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, check_power_size
 from .rationals import rat_from_str, rat_to_str
 from .residues import ResidueSolution, residue_gfs
 
@@ -127,6 +127,12 @@ def break_even_prob(die: DieSpec, n: int) -> Fraction:
     >>> break_even_prob(DieSpec.fair([-1, 0, 1]), 2)
     Fraction(1, 3)
     """
+    check_throw_count(die, n)
+    return (die_poly(die) ** n).coeff(0)
+
+
+def check_throw_count(die: DieSpec, n: int) -> None:
+    """The checks break_even_prob makes before expanding: n >= 0 and the power ceiling."""
     if n < 0:
         raise DomainError(f"throw count must be nonnegative, got {n}")
-    return (die_poly(die) ** n).coeff(0)
+    check_power_size(die_poly(die), n)

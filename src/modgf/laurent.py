@@ -218,14 +218,8 @@ class LaurentPoly:
             return LaurentPoly.one()
         if not self.coeffs:
             return LaurentPoly.zero()
+        check_power_size(self, n)
         d, q = clear_denominators(self.coeffs)
-        bits_per_coeff = n * ((sum(map(abs, q)) - 1).bit_length() + (d - 1).bit_length())
-        size = (n * (len(q) - 1) + 1) * (64 + bits_per_coeff)
-        if size > MAX_POWER_BITS:
-            raise DomainError(
-                f"power n = {n} of a polynomial with {len(q)} coefficient slots "
-                f"would need about {size} bits, over the ceiling {MAX_POWER_BITS}"
-            )
         r = _miller_pow(q, n)
         _check_power(q, d, n, r)
         return LaurentPoly._from_ints(n * self.min_exp, r, d**n)
@@ -299,6 +293,24 @@ def clear_denominators(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
     if d == 1:
         return 1, [c.numerator for c in cs]
     return d, [c.numerator * (d // c.denominator) for c in cs]
+
+
+def check_power_size(p: LaurentPoly, n: int) -> None:
+    """Raise DomainError when p**n would pass MAX_POWER_BITS; expands nothing.
+
+    The estimate is one machine word per coefficient slot plus
+    n * log2(|q|_1 * D) bits per coefficient, with D and q as in __pow__.
+    """
+    if n <= 0 or not p.coeffs:
+        return
+    d, q = clear_denominators(p.coeffs)
+    bits_per_coeff = n * ((sum(map(abs, q)) - 1).bit_length() + (d - 1).bit_length())
+    size = (n * (len(q) - 1) + 1) * (64 + bits_per_coeff)
+    if size > MAX_POWER_BITS:
+        raise DomainError(
+            f"power n = {n} of a polynomial with {len(q)} coefficient slots "
+            f"would need about {size} bits, over the ceiling {MAX_POWER_BITS}"
+        )
 
 
 def _miller_pow(q: Sequence[int], n: int) -> list[int]:

@@ -5,6 +5,13 @@ zeros trimmed; the zero polynomial is the empty tuple and has degree -1.
 RationalFunction is always stored reduced (coprime num/den) and normalized:
 den(0) == 1 when the denominator does not vanish at 0, otherwise den monic.
 
+All reduction goes through one integer gcd, _modular_gcd: Brown's
+multi-modular algorithm over primes above 2^59, whose answer is certified by
+exact trial division of both operands (the quotients are the reduced pair),
+and whose loop is bounded by a prime count derived from the Hadamard and
+Landau-Mignotte bounds. A constant gcd modulo one prime that keeps both
+leading coefficients proves coprimality at once.
+
 solve_linear_system performs fraction-free (Bareiss) elimination over Poly
 entries for a general square system. The residue families do not use it
 (residues solves their circulant system directly); it is the independent
@@ -218,163 +225,157 @@ def _int_coeffs(p: Poly, scale: int = 1) -> list[int]:
     return _itrim(out)
 
 
-def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _int_primitive(cs: list[int]) -> list[int]:
-    g = _int_content(cs)
-    if g in (0, 1):
-        return list(cs)
-    return [c // g for c in cs]
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b: lc(b)^(deg a - deg b + 1) * a mod b.
-
-    The loop skips multiplying by lc(b) on steps whose top coefficient is
-    already zero, so the missing powers are restored at the end; the
-    subresultant divisors assume exactly the classical power.
-    """
-    db = len(b) - 1
-    if db == 0:
-        return []
-    lb = b[-1]
-    full_steps = len(a) - db
-    steps = 0
-    r = list(a)
-    while len(r) - 1 >= db:
-        top = r[-1]
-        if top == 0:
-            r.pop()
-            continue
-        steps += 1
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i in range(db):
-            r[shift + i] -= top * b[i]
-        r.pop()
-        _itrim(r)
-    if r and steps < full_steps:
-        m = lb ** (full_steps - steps)
-        r = [m * c for c in r]
-    return r
-
-
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of integer polynomials via the subresultant PRS.
-
-    The subresultant scheme divides each pseudo-remainder by a known exact
-    factor, so coefficient growth stays polynomial and no gcd chains run in
-    the loop.
-    """
-    a = _int_primitive(_itrim(list(a)))
-    b = _int_primitive(_itrim(list(b)))
-    if not a:
-        return b if not b or b[-1] > 0 else [-c for c in b]
-    if not b:
-        return a if a[-1] > 0 else [-c for c in a]
-    if len(a) < len(b):
-        a, b = b, a
-    g = 1
-    h = 1
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _int_prem(a, b)
-        if not r:
-            break
-        if len(r) == 1:
-            return [1]
-        divisor = g * h**delta
-        nxt = []
-        for c in r:
-            q, rem = divmod(c, divisor)
-            if rem:
-                raise InternalConsistencyError("subresultant division was not exact")
-            nxt.append(q)
-        a, b = b, nxt
-        g = a[-1]
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = g
-        else:
-            num = g**delta
-            q, rem = divmod(num, h ** (delta - 1))
-            if rem:
-                raise InternalConsistencyError("subresultant h-update was not exact")
-            h = q
-    out = _int_primitive(b)
-    return out if out[-1] > 0 else [-c for c in out]
-
-
+# Primes for the modular gcd: three fixed ones first (2^61 - 1 and the primes
+# next to 10^18), then more on demand, descending from 2^62. Every one
+# exceeds 2^59, which the prime-count bound of _modular_gcd relies on.
 _CERT_PRIMES = ((1 << 61) - 1, 1000000000000000009, 999999999999999989)
+_PRIME_BITS = 59
+_gcd_primes = list(_CERT_PRIMES)
+
+# Miller-Rabin with these bases is exact for every n < 3.18 * 10^23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_prime(i: int) -> int:
+    """The i-th prime the modular gcd tries; deterministic and cached."""
+    while len(_gcd_primes) <= i:
+        n = _gcd_primes[-1] - 1 if len(_gcd_primes) > len(_CERT_PRIMES) else 1 << 62
+        while not _is_prime(n):
+            n -= 1
+        _gcd_primes.append(n)
+    return _gcd_primes[i]
 
 
 def _mod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    inv = pow(b[-1], p - 2, p)
+    """Remainder of a by b over GF(p); coefficients in [0, p), b[-1] != 0."""
+    inv = pow(b[-1], -1, p)
     r = list(a)
     db = len(b) - 1
-    while len(r) - 1 >= db:
-        top = r[-1]
-        if top == 0:
-            r.pop()
-            continue
-        f = top * inv % p
-        off = len(r) - 1 - db
-        for i in range(db):
-            r[off + i] = (r[off + i] - f * b[i]) % p
-        r.pop()
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            f = top * inv % p
+            off = len(r) - db
+            r[off:] = [(x - f * y) % p for x, y in zip(r[off:], b)]
     return _itrim(r)
 
 
-def _coprime_mod_cert(a: list[int], b: list[int]) -> bool:
-    """True only when a and b are provably coprime.
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of a and b, given reduced mod p and nonzero."""
+    while b:
+        a, b = b, _mod_rem(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
-    deg gcd(a mod p, b mod p) >= deg gcd(a, b) whenever p preserves both
-    leading coefficients, so one prime showing a constant modular gcd is a
-    proof of coprimality. False means "unknown": fall through to the PRS.
+
+def _exact_quotient(a: list[int], g: list[int]) -> list[int] | None:
+    """a / g when g divides a over the integers, otherwise None."""
+    dg = len(g) - 1
+    lg = g[-1]
+    r = list(a)
+    q = [0] * (len(a) - dg)
+    for pos in range(len(q) - 1, -1, -1):
+        f, rem = divmod(r[pos + dg], lg)
+        if rem:
+            return None
+        q[pos] = f
+        if f:
+            r[pos : pos + dg] = [x - f * y for x, y in zip(r[pos : pos + dg], g)]
+    if any(r[:dg]):
+        return None
+    return q
+
+
+def _modular_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) for nonzero integer polynomials a and b.
+
+    g is the primitive gcd with positive leading coefficient. Brown's
+    multi-modular algorithm (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 6.7): for each prime p dividing neither leading
+    coefficient, the monic gcd of a and b mod p has degree >= deg g, so a
+    constant one proves a and b coprime. Otherwise the images, scaled by
+    gamma = gcd(lc a, lc b), are combined by CRT. A higher-degree image comes
+    from an unlucky prime and is dropped; a lower-degree one restarts the
+    CRT. After each prime the symmetric lift's primitive part is
+    trial-divided into a and b, and once it divides both it is the gcd: it
+    divides g and its degree is at least deg g.
+
+    At most (bits of the leading coefficients + Hadamard bound on the
+    subresultants + Landau-Mignotte bound on the lifted gcd) / 59 primes can
+    be needed; past that count the loop raises InternalConsistencyError.
     """
-    for p in _CERT_PRIMES:
+    if len(a) == 1 or len(b) == 1:
+        return [1], a, b
+    gamma = math.gcd(a[-1], b[-1])
+    na = sum(c * c for c in a).bit_length() // 2 + 1  # log2 of the 2-norms
+    nb = sum(c * c for c in b).bit_length() // 2 + 1
+    da, db = len(a) - 1, len(b) - 1
+    skipped_bits = a[-1].bit_length() + b[-1].bit_length()
+    unlucky_bits = db * na + da * nb
+    lift_bits = gamma.bit_length() + min(da + na, db + nb) + 1
+    limit = (skipped_bits + unlucky_bits + lift_bits) // _PRIME_BITS + 3
+
+    deg = len(a) + len(b)  # above any image degree
+    image: list[int] = []
+    modulus = 1
+    for i in range(limit):
+        p = _gcd_prime(i)
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
-        fa = [c % p for c in a]
-        fb = [c % p for c in b]
-        while fb:
-            fa, fb = fb, _mod_rem(fa, fb, p)
-        return len(fa) == 1
-    return False
-
-
-def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact division of integer polynomials (quotient known to be integral)."""
-    if not b:
-        raise DomainError("polynomial division by zero")
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    q = [0] * max(0, len(r) - db)
-    while len(r) - 1 >= db:
-        top = r[-1]
-        if top == 0:
-            r.pop()
+        g = _gcd_mod([c % p for c in a], [c % p for c in b], p)
+        if len(g) == 1:
+            return [1], a, b
+        if len(g) > deg:
             continue
-        f, rem = divmod(top, lb)
-        if rem:
-            raise InternalConsistencyError("integer polynomial division was not exact")
-        pos = len(r) - 1 - db
-        q[pos] = f
-        for i in range(db):
-            r[pos + i] -= f * b[i]
-        r.pop()
-    if _itrim(r):
-        raise InternalConsistencyError("integer polynomial division left a remainder")
-    return _itrim(q)
+        gp = gamma % p
+        g = [c * gp % p for c in g]
+        if len(g) < deg:
+            deg, image, modulus = len(g), g, p
+        else:
+            inv = pow(modulus, -1, p)
+            image = [
+                h + modulus * ((c - h) * inv % p) for h, c in zip(image, g)
+            ]
+            modulus *= p
+        half = modulus // 2
+        cand = _int_primitive([h - modulus if h > half else h for h in image])
+        if cand[-1] < 0:
+            cand = [-c for c in cand]
+        qa = _exact_quotient(a, cand)
+        if qa is None:
+            continue
+        qb = _exact_quotient(b, cand)
+        if qb is not None:
+            return cand, qa, qb
+    raise InternalConsistencyError(f"modular gcd found no divisor within {limit} primes")
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -391,12 +392,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     ia = _int_coeffs(a, math.lcm(*(c.denominator for c in a.coeffs)))
     ib = _int_coeffs(b, math.lcm(*(c.denominator for c in b.coeffs)))
-    if min(len(ia), len(ib)) == 1:
-        return Poly.one()
-    if len(ia) >= 8 and len(ib) >= 8 and _coprime_mod_cert(ia, ib):
-        return Poly.one()
-    g = _int_gcd(ia, ib)
-    return Poly(g).monic()
+    return Poly(_modular_gcd(ia, ib)[0]).monic()
 
 
 # --- rational functions ---
@@ -719,11 +715,7 @@ def _reduce_int_pair(num: list[int], den: list[int]) -> RationalFunction:
     """num/den over the integers -> canonical reduced RationalFunction."""
     if not num:
         return RationalFunction._reduced_unchecked(Poly.zero(), Poly.one())
-    if min(len(num), len(den)) > 1 and not _coprime_mod_cert(num, den):
-        g = _int_gcd(num, den)
-        if len(g) > 1:
-            num = _int_exact_div(num, g)
-            den = _int_exact_div(den, g)
+    _, num, den = _modular_gcd(num, den)
     return RationalFunction._reduced_unchecked(Poly(num), Poly(den))
 
 

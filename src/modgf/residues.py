@@ -18,7 +18,8 @@ convolution give A(n, k, .) for n <= k, Newton's identities give
 det(I - tM) from the traces k * A(j, k, 0), and each numerator is
 det * f_a mod t^k. All of it runs in integers with exact divisions; the
 result is checked against the system at a hash-derived point before the
-classes are reduced to lowest terms.
+classes are reduced to lowest terms by a multi-modular gcd. For symmetric P
+only the classes a <= k//2 are solved and reduced; the others mirror them.
 
 Residues are always floored into [0, k): (-3) mod 5 is 2 regardless of sign.
 """
@@ -205,10 +206,20 @@ def _check_at_point(
             raise InternalConsistencyError("solved family failed the point check")
 
 
-def _solve_family(p: LaurentPoly, k: int, symmetric: bool) -> ResidueSolution:
-    """The reduced family; with symmetric, classes a > k//2 mirror k - a."""
+def residue_gfs(p: LaurentPoly, k: int) -> ResidueSolution:
+    """Generating functions of A(n, k, a) for every class a at once.
+
+    For symmetric P (P(x) = P(1/x)), A(n, k, a) = A(n, k, k - a), so only
+    the classes a <= k//2 are solved and reduced; the rest share those
+    objects.
+
+    >>> from .laurent import TRINOMIAL
+    >>> residue_gfs(TRINOMIAL, 2).gfs
+    [RationalFunction('(1-t)/(1-2*t-3*t^2)'), RationalFunction('2*t/(1-2*t-3*t^2)')]
+    """
     if p.is_zero():
         raise DomainError("residue generating functions need a nonzero polynomial")
+    symmetric = p.is_symmetric()
     folded = fold_residues(p, k)
     d, q = clear_denominators(folded)
     classes = range(k // 2 + 1) if symmetric else range(k)
@@ -225,33 +236,20 @@ def _solve_family(p: LaurentPoly, k: int, symmetric: bool) -> ResidueSolution:
     common_den = Poly([Fraction(c, d**i) for i, c in enumerate(det)])
     if common_den.constant() != 1:
         raise InternalConsistencyError("det(I - tM) lost its constant term 1")
-    return ResidueSolution(
-        p=p, k=k, symmetric=p.is_symmetric(), common_den=common_den, gfs=gfs
-    )
-
-
-def residue_gfs(p: LaurentPoly, k: int) -> ResidueSolution:
-    """Generating functions of A(n, k, a) for every class a at once.
-
-    >>> from .laurent import TRINOMIAL
-    >>> residue_gfs(TRINOMIAL, 2).gfs
-    [RationalFunction('(1-t)/(1-2*t-3*t^2)'), RationalFunction('2*t/(1-2*t-3*t^2)')]
-    """
-    return _solve_family(p, k, symmetric=False)
+    return ResidueSolution(p=p, k=k, symmetric=symmetric, common_den=common_den, gfs=gfs)
 
 
 def residue_gfs_symmetric(p: LaurentPoly, k: int) -> ResidueSolution:
-    """Same result as residue_gfs, for symmetric P (P(x) = P(1/x)).
+    """residue_gfs for P known to be symmetric; raises NotSymmetricError otherwise.
 
-    Symmetry forces f_a = f_{k-a}, so only classes a <= k//2 are solved and
-    reduced; the rest are mirrored, sharing the reduced objects. Output is
-    identical to residue_gfs entry by entry.
+    residue_gfs already mirrors the classes of a symmetric P, so this only
+    adds the precondition.
     """
     if not p.is_symmetric():
         raise NotSymmetricError(
             "polynomial is not symmetric; use the general residue_gfs path"
         )
-    return _solve_family(p, k, symmetric=True)
+    return residue_gfs(p, k)
 
 
 def recurrence_of(sol: ResidueSolution, a: int = 0) -> LinearRecurrence:

@@ -254,3 +254,19 @@ def test_criterion_9_exact_powers_at_scale():
     assert env["result"]["value"] == str(want)
 
     assert elapsed < 2.0
+
+
+def test_criterion_10_reduce_at_scale():
+    # symmetric P gives every class a gcd of degree about k/2 with the
+    # denominator; the multi-modular gcd and the mirrored classes keep this fast
+    start = time.perf_counter()
+    sol = residue_gfs(TRINOMIAL, 100)
+    assert time.perf_counter() - start < 2.0
+
+    table = residue_table(TRINOMIAL, 100, 200)
+    for a in range(51):
+        assert sol.gfs[a].series(200) == [row[a] for row in table]
+    for a in range(51, 100):
+        # a mirrored class is the very object of class 100 - a, checked above
+        assert sol.gfs[a] is sol.gfs[100 - a]
+        assert [row[a] for row in table] == [row[100 - a] for row in table]

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output formats, determinism, golden files."""
 
+import decimal
 import json
+import math
 import pathlib
 
 import pytest
@@ -308,6 +310,37 @@ def test_series_term_count_checked_before_any_solve(capsys, monkeypatch):
     monkeypatch.setattr(modgf.cli, "residue_gfs", no_solve)
     code, out, err = run_cli(capsys, "series", "-P", "x^-1+1+x", "-k", "60", "-a", "0", "-N", "-1")
     assert (code, out, err) == (2, "", "error: series needs a nonnegative term count\n")
+
+
+def test_dice_throw_count_checked_before_any_solve(capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("modular_prob_gf ran before the power ceiling check")
+
+    monkeypatch.setattr(modgf.cli, "modular_prob_gf", no_solve)
+    faces = '{"faces":[{"value":-1,"prob":"1/3"},{"value":0,"prob":"1/3"},{"value":1,"prob":"1/3"}]}'
+    code, out, err = run_cli(capsys, "dice", "--faces", faces, "-k", "60", "-n", "1000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power n = 1000000000") and "ceiling" in err
+    code, out, err = run_cli(capsys, "dice", "--faces", faces, "-k", "60", "-n", "-1")
+    assert (code, out, err) == (2, "", "error: throw count must be nonnegative, got -1\n")
+
+
+def test_coeff_past_the_int_str_limit(capsys):
+    code, out, err = run_cli(capsys, "coeff", "-P", "x^-1+1+x", "-n", "10000", "-j", "0",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    value = json.loads(out)["result"]["value"]
+    # sum over i of C(n, 2i) * C(2i, i), term by term: t_(i+1) / t_i is
+    # (n - 2i)(n - 2i - 1) / (i + 1)^2; math.comb on every term takes 13 s
+    n = 10000
+    term, want = 1, 0
+    for i in range(n // 2 + 1):
+        if i in (1, 2500, 5000):
+            assert term == math.comb(n, 2 * i) * math.comb(2 * i, i)
+        want += term
+        term = term * (n - 2 * i) * (n - 2 * i - 1) // (i + 1) ** 2
+    # decimal parses without CPython's int-str digit limit
+    assert len(value) > 4300 and int(decimal.Decimal(value)) == want
 
 
 def test_oversize_power_refused_before_expanding(capsys, monkeypatch):

@@ -4,14 +4,18 @@ The solver oracle here is deliberately naive: Cramer's rule with Laplace
 expansion determinants over Fraction-coefficient polynomials. It shares no
 code with the packed Bareiss path, so agreement is meaningful. The Bareiss
 solver in turn is the cross-check oracle of the circulant residue solver
-(tests/test_residues.py).
+(tests/test_residues.py). The multi-modular gcd is checked against the
+subresultant PRS in tests/_oracles.py.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import modgf.ratfun
+from _oracles import int_gcd
 from modgf.errors import (
     DimensionMismatchError,
     DomainError,
@@ -22,7 +26,11 @@ from modgf.errors import (
 from modgf.ratfun import (
     Poly,
     RationalFunction,
+    _CERT_PRIMES,
     _check_point,
+    _gcd_prime,
+    _is_prime,
+    _modular_gcd,
     _pack,
     _unpack,
     _verify_at_point,
@@ -178,13 +186,137 @@ def test_poly_gcd_euclid_cross_check():
 
 
 def test_poly_gcd_large_degree_coprime():
-    # exercises the modular certificate fast path (both degrees >= 8)
     a = Poly([1] * 9 + [3])
     b = Poly([2, -1] * 5 + [1])
     g = poly_gcd(a, b)
     assert g == Poly.one()
     ab = a * b
     assert poly_gcd(ab, a).deg() == a.deg()
+
+
+def int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def random_int_poly(rng, deg, bound):
+    cs = [rng.randint(-bound, bound) for _ in range(deg)]
+    return cs + [rng.choice([-1, 1]) * rng.randint(1, bound)]
+
+
+def test_modular_gcd_matches_prs_oracle_with_planted_factors():
+    rng = random.Random(4101)
+    for k in (4, 10, 24):
+        for g_deg in range(k // 2 + 1):
+            for _ in range(4):
+                bound = rng.choice([3, 1000, 10**30])
+                g = random_int_poly(rng, g_deg, bound)
+                a = int_mul(random_int_poly(rng, k - g_deg, bound), g)
+                b = int_mul(random_int_poly(rng, rng.randint(0, k - g_deg), bound), g)
+                if rng.random() < 0.3:
+                    a = [c * rng.randint(2, 50) for c in a]
+                got, qa, qb = _modular_gcd(a, b)
+                assert got == int_gcd(a, b), (a, b)
+                assert int_mul(got, qa) == a and int_mul(got, qb) == b
+
+
+def test_poly_gcd_rational_inputs_match_oracle():
+    rng = random.Random(4102)
+    for _ in range(80):
+        common = random_nonzero_poly(rng, max_deg=4, bound=7)
+        a = random_poly(rng, max_deg=6, bound=9, fractional=True) * common
+        b = random_poly(rng, max_deg=6, bound=9, fractional=True) * common
+        if a.is_zero() or b.is_zero():
+            continue
+        ia = [c * math.lcm(*(x.denominator for x in a.coeffs)) for c in a.coeffs]
+        ib = [c * math.lcm(*(x.denominator for x in b.coeffs)) for c in b.coeffs]
+        want = Poly(int_gcd([int(c) for c in ia], [int(c) for c in ib])).monic()
+        assert poly_gcd(a, b) == want
+
+
+def test_modular_gcd_skips_a_prime_dividing_a_leading_coefficient():
+    p0 = _CERT_PRIMES[0]
+    common = [2, 1]  # t + 2
+    a = int_mul([1, p0], common)  # (p0*t + 1)(t + 2)
+    b = int_mul([-3, 1], common)
+    got, qa, qb = _modular_gcd(a, b)
+    assert (got, qa, qb) == (common, [1, p0], [-3, 1])
+    assert _modular_gcd(b, a)[0] == common
+
+
+def test_modular_gcd_returns_a_positive_leading_coefficient():
+    # gamma = p0 - 1 lifts to -1 mod p0, so the first candidate is -(t + 1)
+    p0 = _CERT_PRIMES[0]
+    a = int_mul([1, 1], [5, p0 - 1])
+    b = int_mul([1, 1], [7, p0 - 1])
+    assert _modular_gcd(a, b) == ([1, 1], [5, p0 - 1], [7, p0 - 1])
+
+
+def test_modular_gcd_recovers_from_unlucky_primes():
+    p0 = _CERT_PRIMES[0]
+    # t and t + p0 agree mod p0, so the first image has degree 1
+    assert _modular_gcd([0, 1], [p0, 1]) == ([1], [0, 1], [p0, 1])
+    a = int_mul([0, 1], [-1, 1])  # t * (t - 1)
+    b = int_mul([p0, 1], [-1, 1])  # (t + p0) * (t - 1)
+    assert _modular_gcd(a, b) == ([-1, 1], [0, 1], [p0, 1])
+
+
+def test_modular_gcd_drops_an_unlucky_prime_after_a_lucky_one(monkeypatch):
+    p1 = _gcd_prime(1)
+    g = [-(2**100 + 1), 1]  # needs two lucky primes to lift
+    a = int_mul(g, [0, 1])
+    b = int_mul(g, [p1, 1])  # mod p1 the gcd picks up the factor t
+    seen = []
+    real = modgf.ratfun._gcd_mod
+
+    def spy(x, y, p):
+        out = real(x, y, p)
+        seen.append((p, len(out) - 1))
+        return out
+
+    monkeypatch.setattr(modgf.ratfun, "_gcd_mod", spy)
+    assert _modular_gcd(a, b) == (g, [0, 1], [p1, 1])
+    assert seen == [(_gcd_prime(0), 1), (p1, 2), (_gcd_prime(2), 1)]
+
+
+def test_modular_gcd_gives_up_at_the_prime_bound(monkeypatch):
+    calls = []
+
+    def junk(a, b, p):
+        calls.append(p)
+        return [p // 3, 1]
+
+    monkeypatch.setattr(modgf.ratfun, "_gcd_mod", junk)
+    a = int_mul([1, 2, 3], [5, -1, 4])
+    b = int_mul([7, 1], [5, -1, 4])
+    with pytest.raises(InternalConsistencyError, match="within"):
+        _modular_gcd(a, b)
+    assert 1 <= len(calls) < 20
+    with pytest.raises(InternalConsistencyError):
+        poly_gcd(Poly(a), Poly(b))
+
+
+def test_gcd_primes_are_distinct_primes_above_2_59():
+    assert _gcd_prime(3) == 2**62 - 57  # the largest prime below 2^62
+    primes = [_gcd_prime(i) for i in range(12)]
+    assert primes[:3] == list(_CERT_PRIMES)
+    assert len(set(primes)) == 12
+    assert all(p > 2**59 and pow(3, p - 1, p) == 1 for p in primes)
+    assert primes[3:] == sorted(primes[3:], reverse=True)
+
+
+def test_miller_rabin_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to base 2, to bases 2..7 and to bases 2..23
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(10**18 + 9)
 
 
 # --- rational functions ---

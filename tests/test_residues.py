@@ -5,7 +5,8 @@ The structural invariants checked on random inputs:
   - sum over a of f_a == 1/(1 - P(1) t) (or the constant 1 when P(1) == 0)
   - Cramer bounds: deg common_den <= k, deg num <= k-1 before reduction
   - every reduced denominator divides common_den
-  - symmetric path output == general path output, entry by entry
+  - symmetric P: the mirrored classes share one object, and both entry
+    points match the brute-force sums
   - recurrence_of reproduces the sums from initial values alone
   - the circulant solver agrees with general Bareiss elimination on the
     explicitly built transfer matrix
@@ -194,6 +195,12 @@ def test_symmetric_path_equals_general_path():
         s_sol = residue_gfs_symmetric(sym, k)
         assert a_sol.gfs == s_sol.gfs
         assert a_sol.common_den == s_sol.common_den
+        # residue_gfs mirrors symmetric P itself, so check it against the
+        # brute-force sums too, not only against residue_gfs_symmetric
+        table = residue_table(sym, k, 2 * k + 2)
+        for a in range(k):
+            assert a_sol.gfs[a].series(2 * k + 2) == [row[a] for row in table]
+            assert a_sol.gfs[a] is a_sol.gfs[(k - a) % k]
         cases += 1
 
 
